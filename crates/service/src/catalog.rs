@@ -1,7 +1,7 @@
-//! The session catalog: persistent deployment state shared by every
+//! The session catalog: the immutable deployment state shared by every
 //! query the service runs.
 //!
-//! A [`SessionCatalog`] owns the four long-lived pieces of a standing
+//! A [`SessionCatalog`] owns what execution reads from a standing
 //! deployment (§5):
 //!
 //! * the [`Deployment`] itself — device registry, private rows, beacon;
@@ -10,21 +10,24 @@
 //!   creation** from a catalog-owned RNG so the fixed cost is paid
 //!   exactly once and never attributed to whichever query happened to
 //!   arrive first;
-//! * a [`PlanCache`] memoizing parse → certify → plan on the full
-//!   query signature;
-//! * the [`LedgerBook`] of per-analyst budget ledgers plus the
-//!   deployment-wide cap.
+//! * the [`CatalogConfig`] every query's execution configuration is
+//!   derived from.
 //!
-//! Every execution through the catalog therefore reports all-zero
+//! Nothing in it changes after [`SessionCatalog::new`], so every entry
+//! point takes `&self` and concurrent queries read it without a lock.
+//! The mutable service state — the plan cache and the budget ledgers —
+//! lives with the scheduler's admission state instead.
+//!
+//! Every execution through the catalog reports all-zero
 //! [`SetupCounters`](arboretum_runtime::setup::SetupCounters) — the
 //! observable form of the paper's keygen amortization — and draws its
 //! per-query randomness from a seed mixed from `(catalog seed, analyst
 //! tag, per-analyst sequence)`, never from scheduling.
 
-use arboretum_dp::budget::{LedgerBook, LedgerBookError, PrivacyCost};
+use arboretum_dp::budget::PrivacyCost;
 use arboretum_lang::privacy::CertifyConfig;
 use arboretum_par::ShardedPool;
-use arboretum_planner::cache::{CachedPlan, PlanCache};
+use arboretum_planner::cache::CachedPlan;
 use arboretum_planner::logical::LogicalPlan;
 use arboretum_planner::plan::Plan;
 use arboretum_planner::search::PlannerConfig;
@@ -36,8 +39,6 @@ use arboretum_runtime::setup::{build_session_setup, SessionSetup};
 use arboretum_runtime::stream::{ArrivalSchedule, StreamError, StreamExecutor, StreamReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use std::sync::Arc;
 
 use crate::session::{analyst_tag, ServiceError};
 
@@ -55,7 +56,8 @@ pub struct CatalogConfig {
     pub planner: PlannerConfig,
     /// Certifier configuration shared by every cached plan.
     pub certify: CertifyConfig,
-    /// The deployment-wide privacy cap all analysts compose into.
+    /// The deployment-wide privacy cap all analysts compose into;
+    /// enforced at admission, not by the catalog itself.
     pub deployment_budget: PrivacyCost,
 }
 
@@ -80,8 +82,6 @@ pub struct SessionCatalog {
     deployment: Deployment,
     setup: SessionSetup,
     config: CatalogConfig,
-    plans: PlanCache,
-    book: LedgerBook,
 }
 
 impl SessionCatalog {
@@ -104,9 +104,7 @@ impl SessionCatalog {
         Ok(Self {
             deployment,
             setup,
-            book: LedgerBook::new(config.deployment_budget),
             config,
-            plans: PlanCache::new(),
         })
     }
 
@@ -123,58 +121,6 @@ impl SessionCatalog {
     /// The catalog configuration.
     pub fn config(&self) -> &CatalogConfig {
         &self.config
-    }
-
-    /// The ledger book (deployment-wide + per-analyst).
-    pub fn book(&self) -> &LedgerBook {
-        &self.book
-    }
-
-    /// Opens an analyst session with the given budget allotment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LedgerBookError::DuplicateAnalyst`] if a session is
-    /// already open under that name.
-    pub fn open_analyst(
-        &mut self,
-        analyst: &str,
-        allotment: PrivacyCost,
-    ) -> Result<(), LedgerBookError> {
-        self.book.open(analyst, allotment)
-    }
-
-    /// Charges `cost` to `analyst` and the deployment ledger,
-    /// all-or-nothing; the book is bitwise unchanged on refusal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LedgerBookError`] if the analyst is unknown or either
-    /// ledger cannot afford the charge.
-    pub fn admit(&mut self, analyst: &str, cost: PrivacyCost) -> Result<(), LedgerBookError> {
-        self.book.charge(analyst, cost)
-    }
-
-    /// Prepares a query through the plan cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Plan`] at the first failing pipeline
-    /// stage.
-    pub fn prepare(&mut self, source: &str) -> Result<Arc<CachedPlan>, ServiceError> {
-        self.plans
-            .prepare(
-                source,
-                &self.deployment.schema,
-                self.config.certify,
-                &self.config.planner,
-            )
-            .map_err(|e| ServiceError::Plan(e.to_string()))
-    }
-
-    /// `(hits, misses)` of the plan cache.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (self.plans.hits(), self.plans.misses())
     }
 
     /// The seed a given `(analyst, per-analyst sequence)` query draws
@@ -299,72 +245,6 @@ mod tests {
     fn deployment() -> Deployment {
         let assignments: Vec<usize> = (0..40).map(|i| i % 4).collect();
         Deployment::one_hot(&assignments, 4)
-    }
-
-    const SRC: &str = "aggr = sum(db);\nr = em(aggr, 1.0);\noutput(r);";
-
-    #[test]
-    fn catalog_queries_amortize_setup() {
-        let mut catalog = SessionCatalog::new(deployment(), CatalogConfig::default()).unwrap();
-        catalog
-            .open_analyst("alice", PrivacyCost::pure(5.0))
-            .unwrap();
-        let prepared = catalog.prepare(SRC).unwrap();
-        let before = catalog.book().analyst("alice").unwrap().remaining();
-        catalog
-            .admit("alice", prepared.logical.certificate.cost)
-            .unwrap();
-        let report = catalog
-            .execute(&prepared, "alice", 0, before, None)
-            .unwrap();
-        assert!(
-            report.setup.is_zero(),
-            "catalog executions must not re-pay sortition/keygen: {:?}",
-            report.setup
-        );
-        // The setup itself did record the fixed cost, exactly once.
-        assert!(!catalog.setup().counters.is_zero());
-    }
-
-    #[test]
-    fn streamed_queries_amortize_setup_and_run_every_window() {
-        let mut catalog = SessionCatalog::new(deployment(), CatalogConfig::default()).unwrap();
-        catalog
-            .open_analyst("alice", PrivacyCost::pure(5.0))
-            .unwrap();
-        let prepared = catalog.prepare(SRC).unwrap();
-        let before = catalog.book().analyst("alice").unwrap().remaining();
-        catalog
-            .admit("alice", prepared.logical.certificate.cost)
-            .unwrap();
-        let stream = catalog
-            .execute_stream(&prepared, "alice", 0, before, 3, None)
-            .unwrap();
-        assert_eq!(stream.checkpoints.len(), 3);
-        assert!(stream.detections.is_empty());
-        assert!(
-            stream.report.setup.is_zero(),
-            "streamed windows must not re-pay sortition/keygen"
-        );
-        // The schedule is a pure function of the query seed: replaying
-        // the same (analyst, seq) reproduces the epoch bitwise.
-        let replay = catalog
-            .execute_stream(&prepared, "alice", 0, before, 3, None)
-            .unwrap();
-        assert_eq!(stream.report.outputs, replay.report.outputs);
-        assert_eq!(
-            stream.checkpoints.last().unwrap().accumulator_digest,
-            replay.checkpoints.last().unwrap().accumulator_digest
-        );
-    }
-
-    #[test]
-    fn plan_cache_hits_on_repeat() {
-        let mut catalog = SessionCatalog::new(deployment(), CatalogConfig::default()).unwrap();
-        let a = catalog.prepare(SRC).unwrap();
-        let b = catalog.prepare(SRC).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(catalog.plan_cache_stats(), (1, 1));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use arboretum_runtime::setup::SetupCounters;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::catalog::{CatalogConfig, SessionCatalog};
@@ -61,8 +61,8 @@ impl ServiceHandle {
         let par = config.catalog.base.par;
         let catalog = SessionCatalog::new(deployment, config.catalog)?;
         let state = Arc::new(SchedulerState {
-            catalog: RwLock::new(catalog),
-            admission: Mutex::new(Admission::default()),
+            admission: Mutex::new(Admission::new(catalog.config().deployment_budget)),
+            catalog,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             results: Mutex::new(BTreeMap::new()),
@@ -95,9 +95,10 @@ impl ServiceHandle {
     /// Returns [`ServiceError::Ledger`] if a session is already open
     /// under that name.
     pub fn open_session(&self, analyst: &str, allotment: PrivacyCost) -> Result<(), ServiceError> {
-        let mut catalog = self.state.catalog.write().expect("catalog lock poisoned");
-        catalog
-            .open_analyst(analyst, allotment)
+        self.state
+            .admission()
+            .book
+            .open(analyst, allotment)
             .map_err(ServiceError::Ledger)
     }
 
@@ -110,7 +111,7 @@ impl ServiceHandle {
     /// Returns the typed refusal — budget, plan, unknown analyst —
     /// with every ledger bitwise unchanged.
     pub fn submit(&self, analyst: &str, source: &str) -> Result<QueryId, ServiceError> {
-        self.state.submit(analyst, source)
+        self.state.submit(analyst, source, None)
     }
 
     /// Blocks until the given query finishes and returns its report.
@@ -149,8 +150,7 @@ impl ServiceHandle {
         source: &str,
         windows: usize,
     ) -> Result<QueryId, ServiceError> {
-        self.state
-            .submit_with_windows(analyst, source, Some(windows.max(1)))
+        self.state.submit(analyst, source, Some(windows.max(1)))
     }
 
     /// Blocks until a streamed query finishes (`CLOSE` mode) and
@@ -200,45 +200,32 @@ impl ServiceHandle {
 
     /// The admission audit log, in submission order.
     pub fn audit_log(&self) -> Vec<AuditRecord> {
-        self.state
-            .admission
-            .lock()
-            .expect("admission lock poisoned")
-            .log
-            .clone()
+        self.state.admission().log.clone()
     }
 
     /// A snapshot of the named analyst's ledger, if a session is open.
     pub fn ledger(&self, analyst: &str) -> Option<BudgetLedger> {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.book().analyst(analyst).cloned()
+        self.state.admission().book.analyst(analyst).cloned()
     }
 
     /// A snapshot of the deployment-wide ledger.
     pub fn deployment_ledger(&self) -> BudgetLedger {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.book().deployment().clone()
+        self.state.admission().book.deployment().clone()
     }
 
     /// `(hits, misses)` of the plan cache.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.plan_cache_stats()
+        self.state.admission().plan_cache_stats()
     }
 
     /// The fixed setup cost the catalog paid once at start.
     pub fn setup_counters(&self) -> SetupCounters {
-        let catalog = self.state.catalog.read().expect("catalog lock poisoned");
-        catalog.setup().counters.clone()
+        self.state.catalog.setup().counters.clone()
     }
 
     /// Queries admitted so far (across all analysts).
     pub fn queries_admitted(&self) -> u64 {
-        self.state
-            .admission
-            .lock()
-            .expect("admission lock poisoned")
-            .next_id
+        self.state.admission().next_id
     }
 
     /// Drains the queue, stops the workers, and joins them. Also runs

@@ -6,16 +6,18 @@
 //! once and amortized across the stream. This crate turns the one-shot
 //! planner/runtime into that service:
 //!
-//! * [`catalog`] — a [`SessionCatalog`] holding the persistent
-//!   deployment, the cached [`SessionSetup`](arboretum_runtime::setup)
-//!   (sortition roster + BGV keypair + metered keygen), a
-//!   [`PlanCache`](arboretum_planner::cache::PlanCache) keyed on the
-//!   full query signature, and the [`LedgerBook`](arboretum_dp::budget)
-//!   of per-analyst privacy-budget ledgers;
+//! * [`catalog`] — an immutable [`SessionCatalog`] holding the
+//!   persistent deployment and the cached
+//!   [`SessionSetup`](arboretum_runtime::setup) (sortition roster + BGV
+//!   keypair + metered keygen), read by every execution without a lock;
 //! * [`session`] — analyst identity (seed tags) and the admission
 //!   [`AuditRecord`] stream;
-//! * [`scheduler`] — worker threads multiplexing concurrent queries
-//!   over the shared setup and a leased [`PoolBank`](arboretum_par);
+//! * [`scheduler`] — the admission state behind one mutex (a
+//!   [`PlanCache`](arboretum_planner::cache::PlanCache) keyed on the
+//!   full query signature, the [`LedgerBook`](arboretum_dp::budget) of
+//!   per-analyst privacy-budget ledgers, sequence numbers, audit log)
+//!   and worker threads multiplexing concurrent queries over the shared
+//!   catalog and a leased [`PoolBank`](arboretum_par);
 //! * [`handle`] — [`ServiceHandle`], the in-process API the CLI,
 //!   examples, and tests all drive;
 //! * [`protocol`] — the std-only line protocol behind `arboretum
@@ -26,10 +28,10 @@
 //! Admission is serialized: every submission, in submission order,
 //! atomically (1) resolves its plan, (2) charges the analyst *and*
 //! deployment ledgers all-or-nothing, and (3) receives the next global
-//! query id. Execution afterwards is embarrassingly parallel: each
-//! query's randomness is seeded from `(catalog seed, analyst tag,
-//! per-analyst sequence number)` and runs against the immutable cached
-//! setup, so its outputs never depend on scheduling. Consequently, for
+//! query id. Execution afterwards is embarrassingly parallel and takes
+//! no lock: each query's randomness is seeded from `(catalog seed,
+//! analyst tag, per-analyst sequence number)` and runs against the
+//! immutable catalog, so its outputs never depend on scheduling. Consequently, for
 //! any interleaving of analyst submissions and any worker/pool
 //! configuration, per-query outputs, audit records, NetMeter totals,
 //! and all ledgers are **bitwise identical** to a serial replay of the

@@ -1,27 +1,34 @@
 //! The committee/pool scheduler: serialized admission, parallel
 //! execution.
 //!
-//! Admission (plan resolution, the all-or-nothing ledger charge, query
-//! id assignment, audit logging) happens synchronously at submit time
-//! under a single admission lock, so the admission sequence is totally
-//! ordered by submission order — the submission-index tie-break of the
-//! determinism contract. Execution is then embarrassingly parallel:
-//! worker threads pop admitted jobs, lease a [`ShardedPool`] from the
-//! bank (exclusive checkout keeps per-query pool counters meaningful),
-//! and run against the immutable cached setup under a read lock.
-//! Because every job's randomness is fixed at admission (analyst tag +
-//! per-analyst sequence), *which* worker or pool runs it — or whether
-//! it runs at all concurrently with others — cannot change any result
-//! bit.
+//! The service's state is split by mutability. Everything that changes
+//! per submission — the plan cache, the ledger book, the per-analyst
+//! sequence numbers, the id counters and the audit log — lives in one
+//! `Admission` behind one mutex. Admission (plan resolution, the
+//! all-or-nothing ledger charge, query id assignment, audit logging)
+//! happens synchronously at submit time as one critical section, so the
+//! admission sequence is totally ordered by submission order — the
+//! submission-index tie-break of the determinism contract.
+//!
+//! Execution then reads the service state without any lock: worker
+//! threads pop admitted jobs, lease a
+//! [`ShardedPool`](arboretum_par::ShardedPool) from the bank (exclusive
+//! checkout keeps per-query pool counters meaningful), and run against
+//! the immutable, shared [`SessionCatalog`], so one analyst's running
+//! query never makes another's admission or execution wait for it.
+//! Because every job's plan and randomness are fixed at admission
+//! (analyst tag + per-analyst sequence), *which* worker or pool runs it
+//! — or whether it runs at all concurrently with others — cannot change
+//! any result bit.
 
-use arboretum_dp::budget::PrivacyCost;
+use arboretum_dp::budget::{LedgerBook, PrivacyCost};
 use arboretum_par::PoolBank;
-use arboretum_planner::cache::CachedPlan;
+use arboretum_planner::cache::{CachedPlan, PlanCache};
 use arboretum_runtime::executor::ExecutionReport;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::catalog::SessionCatalog;
 use crate::session::{AuditRecord, QueryId, ServiceError};
@@ -55,19 +62,116 @@ pub struct StreamSummary {
     pub final_digest: Option<[u8; 32]>,
 }
 
-/// Admission bookkeeping, guarded by one mutex so the admission
+/// All mutable service state, guarded by one mutex so the admission
 /// sequence is totally ordered.
-#[derive(Default)]
 pub(crate) struct Admission {
+    pub plans: PlanCache,
+    pub book: LedgerBook,
     pub next_index: u64,
     pub next_id: u64,
     pub seqs: BTreeMap<String, u64>,
     pub log: Vec<AuditRecord>,
 }
 
+impl Admission {
+    /// Empty admission state under a deployment-wide privacy cap.
+    pub fn new(deployment_budget: PrivacyCost) -> Self {
+        Self {
+            plans: PlanCache::new(),
+            book: LedgerBook::new(deployment_budget),
+            next_index: 0,
+            next_id: 0,
+            seqs: BTreeMap::new(),
+            log: Vec::new(),
+        }
+    }
+
+    /// Prepares a query for `catalog`'s deployment through the plan
+    /// cache.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::Plan`] at the first failing pipeline
+    /// stage.
+    pub fn prepare(
+        &mut self,
+        catalog: &SessionCatalog,
+        source: &str,
+    ) -> Result<Arc<CachedPlan>, ServiceError> {
+        let config = catalog.config();
+        self.plans
+            .prepare(
+                source,
+                &catalog.deployment().schema,
+                config.certify,
+                &config.planner,
+            )
+            .map_err(|e| ServiceError::Plan(e.to_string()))
+    }
+
+    /// `(hits, misses)` of the plan cache.
+    pub fn plan_cache_stats(&self) -> (u64, u64) {
+        (self.plans.hits(), self.plans.misses())
+    }
+
+    /// Admits one submission: resolves the plan, charges the ledgers
+    /// all-or-nothing, assigns the next query id, and appends the
+    /// audit record. Returns the job to run, or the typed refusal with
+    /// the book bitwise unchanged.
+    pub fn admit(
+        &mut self,
+        catalog: &SessionCatalog,
+        analyst: &str,
+        source: &str,
+        windows: Option<usize>,
+    ) -> Result<Job, ServiceError> {
+        let Some(budget_before) = self.book.analyst(analyst).map(|l| l.remaining()) else {
+            return Err(ServiceError::UnknownAnalyst(analyst.to_string()));
+        };
+        let prepared = self.prepare(catalog, source)?;
+        let cost = prepared.logical.certificate.cost;
+        let seq = self.seqs.get(analyst).copied().unwrap_or(0);
+        let index = self.next_index;
+        self.next_index += 1;
+        let charged = self.book.charge(analyst, cost);
+        // A refusal leaves the book bitwise unchanged and does NOT
+        // consume the seq: a refused submission shifts no later
+        // query's seed.
+        let query_id = charged.is_ok().then(|| {
+            let id = QueryId(self.next_id);
+            self.next_id += 1;
+            self.seqs.insert(analyst.to_string(), seq + 1);
+            id
+        });
+        self.log.push(AuditRecord {
+            index,
+            analyst: analyst.to_string(),
+            seq,
+            query_id,
+            cost,
+            refusal: charged.as_ref().err().map(ToString::to_string),
+            analyst_remaining: self
+                .book
+                .analyst(analyst)
+                .expect("checked above")
+                .remaining(),
+            deployment_remaining: self.book.deployment().remaining(),
+        });
+        charged.map_err(ServiceError::Ledger)?;
+        Ok(Job {
+            id: query_id.expect("assigned on a successful charge"),
+            analyst: analyst.to_string(),
+            seq,
+            prepared,
+            budget_before,
+            windows,
+        })
+    }
+}
+
 /// State shared between the handle and the worker threads.
 pub(crate) struct SchedulerState {
-    pub catalog: RwLock<SessionCatalog>,
+    pub catalog: SessionCatalog,
     pub admission: Mutex<Admission>,
     pub queue: Mutex<VecDeque<Job>>,
     pub queue_cv: Condvar,
@@ -84,19 +188,19 @@ pub(crate) struct SchedulerState {
 }
 
 impl SchedulerState {
-    /// Admits one submission: resolves the plan, charges the ledgers
-    /// all-or-nothing, assigns the next query id, and appends the
-    /// audit record — all under the admission lock. Returns the job to
-    /// run, or the typed refusal.
-    pub fn submit(self: &Arc<Self>, analyst: &str, source: &str) -> Result<QueryId, ServiceError> {
-        self.submit_with_windows(analyst, source, None)
+    /// Locks the admission state.
+    pub fn admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().expect("admission lock poisoned")
     }
 
-    /// [`Self::submit`] with an optional streaming window count; the
-    /// admission path (and thus the ledger/audit behavior) is identical
-    /// for batch and streamed queries — the epoch is charged once.
-    pub fn submit_with_windows(
-        self: &Arc<Self>,
+    /// Admits one submission under the admission lock (see
+    /// [`Admission::admit`]) and schedules the job — executed inline in
+    /// serial mode, queued for a worker otherwise. `Some(windows)`
+    /// submits a streaming query; admission, and thus the ledger/audit
+    /// behavior, is identical for batch and streamed queries — the
+    /// epoch is charged once.
+    pub fn submit(
+        &self,
         analyst: &str,
         source: &str,
         windows: Option<usize>,
@@ -104,68 +208,9 @@ impl SchedulerState {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(ServiceError::ShutDown);
         }
-        let job = {
-            let mut adm = self.admission.lock().expect("admission lock poisoned");
-            let mut catalog = self.catalog.write().expect("catalog lock poisoned");
-            if catalog.book().analyst(analyst).is_none() {
-                return Err(ServiceError::UnknownAnalyst(analyst.to_string()));
-            }
-            let prepared = catalog.prepare(source)?;
-            let cost = prepared.logical.certificate.cost;
-            let seq = adm.seqs.get(analyst).copied().unwrap_or(0);
-            let budget_before = catalog
-                .book()
-                .analyst(analyst)
-                .expect("checked above")
-                .remaining();
-            let index = adm.next_index;
-            adm.next_index += 1;
-            match catalog.admit(analyst, cost) {
-                Err(refusal) => {
-                    // The book is bitwise unchanged; record the refusal
-                    // (seq NOT consumed: a refused submission shifts no
-                    // later query's seed) and surface the typed error.
-                    adm.log.push(AuditRecord {
-                        index,
-                        analyst: analyst.to_string(),
-                        seq,
-                        query_id: None,
-                        cost,
-                        refusal: Some(refusal.to_string()),
-                        analyst_remaining: budget_before,
-                        deployment_remaining: catalog.book().deployment().remaining(),
-                    });
-                    return Err(ServiceError::Ledger(refusal));
-                }
-                Ok(()) => {
-                    let id = QueryId(adm.next_id);
-                    adm.next_id += 1;
-                    adm.seqs.insert(analyst.to_string(), seq + 1);
-                    adm.log.push(AuditRecord {
-                        index,
-                        analyst: analyst.to_string(),
-                        seq,
-                        query_id: Some(id),
-                        cost,
-                        refusal: None,
-                        analyst_remaining: catalog
-                            .book()
-                            .analyst(analyst)
-                            .expect("checked above")
-                            .remaining(),
-                        deployment_remaining: catalog.book().deployment().remaining(),
-                    });
-                    Job {
-                        id,
-                        analyst: analyst.to_string(),
-                        seq,
-                        prepared,
-                        budget_before,
-                        windows,
-                    }
-                }
-            }
-        };
+        let job = self
+            .admission()
+            .admit(&self.catalog, analyst, source, windows)?;
         let id = job.id;
         if self.inline {
             self.execute_job(job);
@@ -181,10 +226,9 @@ impl SchedulerState {
     pub fn execute_job(&self, job: Job) {
         let (result, summary) = {
             let lease = self.pools.checkout();
-            let catalog = self.catalog.read().expect("catalog lock poisoned");
             match job.windows {
                 None => (
-                    catalog
+                    self.catalog
                         .execute(
                             &job.prepared,
                             &job.analyst,
@@ -195,7 +239,7 @@ impl SchedulerState {
                         .map_err(ServiceError::Exec),
                     None,
                 ),
-                Some(windows) => match catalog.execute_stream(
+                Some(windows) => match self.catalog.execute_stream(
                     &job.prepared,
                     &job.analyst,
                     job.seq,
@@ -238,11 +282,8 @@ impl SchedulerState {
 
     /// Blocks until the query's result is available.
     pub fn wait(&self, id: QueryId) -> Result<ExecutionReport, ServiceError> {
-        {
-            let adm = self.admission.lock().expect("admission lock poisoned");
-            if id.0 >= adm.next_id {
-                return Err(ServiceError::UnknownQuery(id.0));
-            }
+        if id.0 >= self.admission().next_id {
+            return Err(ServiceError::UnknownQuery(id.0));
         }
         let mut results = self.results.lock().expect("results lock poisoned");
         loop {
@@ -259,7 +300,7 @@ impl SchedulerState {
     /// Worker thread body: drain the queue, then exit once shutdown is
     /// flagged and the queue is empty (every admitted job is always
     /// executed).
-    pub fn worker_loop(self: &Arc<Self>) {
+    pub fn worker_loop(&self) {
         loop {
             let job = {
                 let mut queue = self.queue.lock().expect("queue lock poisoned");
@@ -275,5 +316,96 @@ impl SchedulerState {
             };
             self.execute_job(job);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::CatalogConfig;
+    use arboretum_runtime::executor::Deployment;
+
+    fn catalog() -> SessionCatalog {
+        let assignments: Vec<usize> = (0..40).map(|i| i % 4).collect();
+        let deployment = Deployment::one_hot(&assignments, 4);
+        SessionCatalog::new(deployment, CatalogConfig::default()).unwrap()
+    }
+
+    const SRC: &str = "aggr = sum(db);\nr = em(aggr, 1.0);\noutput(r);";
+
+    /// Admission state for `catalog` with alice's session open, plus
+    /// her remaining budget before any charge.
+    fn admission_with_alice(catalog: &SessionCatalog) -> (Admission, PrivacyCost) {
+        let mut adm = Admission::new(catalog.config().deployment_budget);
+        adm.book.open("alice", PrivacyCost::pure(5.0)).unwrap();
+        let before = adm.book.analyst("alice").unwrap().remaining();
+        (adm, before)
+    }
+
+    #[test]
+    fn catalog_queries_amortize_setup() {
+        let catalog = catalog();
+        let (mut adm, before) = admission_with_alice(&catalog);
+        let job = adm.admit(&catalog, "alice", SRC, None).unwrap();
+        assert_eq!(
+            (job.id, job.seq, job.budget_before),
+            (QueryId(0), 0, before)
+        );
+        let report = catalog
+            .execute(
+                &job.prepared,
+                &job.analyst,
+                job.seq,
+                job.budget_before,
+                None,
+            )
+            .unwrap();
+        assert!(
+            report.setup.is_zero(),
+            "catalog executions must not re-pay sortition/keygen: {:?}",
+            report.setup
+        );
+        // The setup itself did record the fixed cost, exactly once.
+        assert!(!catalog.setup().counters.is_zero());
+    }
+
+    #[test]
+    fn streamed_queries_amortize_setup_and_run_every_window() {
+        let catalog = catalog();
+        let (mut adm, before) = admission_with_alice(&catalog);
+        let job = adm.admit(&catalog, "alice", SRC, Some(3)).unwrap();
+        assert_eq!(
+            (job.seq, job.budget_before, job.windows),
+            (0, before, Some(3))
+        );
+        let stream = catalog
+            .execute_stream(&job.prepared, "alice", 0, before, 3, None)
+            .unwrap();
+        assert_eq!(stream.checkpoints.len(), 3);
+        assert!(stream.detections.is_empty());
+        assert!(
+            stream.report.setup.is_zero(),
+            "streamed windows must not re-pay sortition/keygen"
+        );
+        // The schedule is a pure function of the query seed: replaying
+        // the same (analyst, seq) reproduces the epoch bitwise.
+        let replay = catalog
+            .execute_stream(&job.prepared, "alice", 0, before, 3, None)
+            .unwrap();
+        assert_eq!(stream.report.outputs, replay.report.outputs);
+        assert_eq!(
+            stream.checkpoints.last().unwrap().accumulator_digest,
+            replay.checkpoints.last().unwrap().accumulator_digest
+        );
+    }
+
+    #[test]
+    fn plan_cache_hits_on_repeat() {
+        let catalog = catalog();
+        let mut adm = Admission::new(catalog.config().deployment_budget);
+        let a = adm.prepare(&catalog, SRC).unwrap();
+        let b = adm.prepare(&catalog, SRC).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(adm.plan_cache_stats(), (1, 1));
     }
 }
