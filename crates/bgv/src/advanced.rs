@@ -62,9 +62,9 @@ pub fn mod_switch(
     let t = ctx.params.t;
     // Both correction multipliers are fixed for the whole switch, so the
     // per-coefficient products run through Shoup multiplication.
-    let q1_inv_mod_q0 = inv_mod(q1 % q0, q0);
+    let q1_inv_mod_q0 = inv_mod(q1 % q0, q0); // div-ok: once per modulus switch
     let q1_inv_mod_q0_shoup = shoup_precompute(q1_inv_mod_q0, q0);
-    let q1_inv_mod_t = inv_mod(q1 % t, t);
+    let q1_inv_mod_t = inv_mod(q1 % t, t); // div-ok: once per modulus switch
     let q1_inv_mod_t_shoup = shoup_precompute(q1_inv_mod_t, t);
 
     let switch_poly = |p: &RnsPoly| -> RnsPoly {
@@ -84,7 +84,7 @@ pub fn mod_switch(
                 c1 as i128
             };
             // k = (-d) * q1^{-1} mod t, centered.
-            let d_mod_t = ((d_centered % t as i128 + t as i128) % t as i128) as u64;
+            let d_mod_t = ((d_centered % t as i128 + t as i128) % t as i128) as u64; // div-ok: modulus switching is off the aggregation path
             let k = mul_mod_shoup(neg_mod(d_mod_t, t), q1_inv_mod_t, q1_inv_mod_t_shoup, t);
             let k_centered: i128 = if k > t / 2 {
                 k as i128 - t as i128
@@ -94,7 +94,7 @@ pub fn mod_switch(
             let delta: i128 = d_centered + q1 as i128 * k_centered;
             // c' = (c - δ) / q1 computed modulo q0:
             // (c0 - δ mod q0) * q1^{-1} mod q0.
-            let delta_mod_q0 = ((delta % q0 as i128 + q0 as i128) % q0 as i128) as u64;
+            let delta_mod_q0 = ((delta % q0 as i128 + q0 as i128) % q0 as i128) as u64; // div-ok: modulus switching is off the aggregation path
             let num = arboretum_field::zq::sub_mod(c0, delta_mod_q0, q0);
             out[j] = mul_mod_shoup(num, q1_inv_mod_q0, q1_inv_mod_q0_shoup, q0);
         }
@@ -113,7 +113,7 @@ pub fn mod_switch(
     // Dividing by q1 scales the plaintext by q1^{-1} mod t; rescale by
     // q1 mod t to recover the original message (the standard BGV
     // correction when q1 is not ≡ 1 mod t).
-    let q1_mod_t = q1 % t;
+    let q1_mod_t = q1 % t; // div-ok: once per modulus switch
     let switched = Ciphertext {
         c0: switch_poly(&ct.c0).scale(q1_mod_t, &new_ctx),
         c1: switch_poly(&ct.c1).scale(q1_mod_t, &new_ctx),
@@ -133,7 +133,7 @@ pub fn apply_automorphism_poly(ctx: &BgvContext, p: &RnsPoly, g: u64) -> RnsPoly
         .map(|(row, &q)| {
             let mut out = vec![0u64; n as usize];
             for (j, &c) in row.iter().enumerate() {
-                let e = (j as u64 * g) % two_n;
+                let e = (j as u64 * g) % two_n; // div-ok: Galois index map, off the aggregation path
                 if e < n {
                     out[e as usize] = arboretum_field::zq::add_mod(out[e as usize], c, q);
                 } else {

@@ -32,6 +32,7 @@ pub use encode::{decode_coeffs, encode_coeffs, EncodeError, SlotEncoder};
 pub use params::{BgvParams, ParamError};
 pub use poly::{BgvContext, RnsPoly};
 pub use scheme::{
-    add, decrypt, encrypt, keygen, mul, mul_plain, mul_scalar, noise_budget_bits, relin_keygen,
-    restrict_secret_key, sub, Ciphertext, PublicKey, RelinKey, SecretKey,
+    add, decrypt, encrypt, encrypt_with_noise, keygen, mul, mul_plain, mul_scalar,
+    noise_budget_bits, relin_keygen, restrict_secret_key, sub, Ciphertext, EncryptionNoise,
+    PublicKey, RelinKey, SecretKey,
 };

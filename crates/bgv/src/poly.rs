@@ -63,6 +63,30 @@ impl Clone for ScratchPool {
     }
 }
 
+/// The canonical residue of an unsigned coefficient. Small inputs
+/// (secrets, errors, plaintext values: `c < q`) take a branch, not a
+/// divide; larger ones fall back to the Barrett reducer.
+#[inline]
+fn lift_unsigned(c: u64, b: &Barrett) -> u64 {
+    if c < b.modulus() {
+        c
+    } else {
+        b.reduce(c as u128)
+    }
+}
+
+/// The canonical residue of a signed coefficient (see
+/// [`lift_unsigned`]).
+#[inline]
+fn lift_signed(c: i64, b: &Barrett) -> u64 {
+    let r = lift_unsigned(c.unsigned_abs(), b);
+    if c < 0 {
+        neg_mod(r, b.modulus())
+    } else {
+        r
+    }
+}
+
 /// Precomputed per-parameter-set state: NTT tables and CRT constants.
 #[derive(Debug, Clone)]
 pub struct BgvContext {
@@ -75,6 +99,10 @@ pub struct BgvContext {
     /// Garner constant `q_0^{-1} mod q_1` with its Shoup quotient
     /// (two-prime case).
     garner_inv: Option<(u64, u64)>,
+    /// Per RNS prime: the plaintext modulus `t mod q_i` with its Shoup
+    /// quotient, so scaling by `t` (every encryption and key) skips the
+    /// per-call precompute.
+    t_shoup: Vec<(u64, u64)>,
     /// Reusable transform buffers for [`RnsPoly::mul`].
     pub scratch: ScratchPool,
 }
@@ -88,19 +116,27 @@ impl BgvContext {
             .zip(&params.roots)
             .map(|(&q, &r)| RtNttTable::new(params.n, q, r))
             .collect();
-        let barretts = params.moduli.iter().map(|&q| Barrett::new(q)).collect();
+        let barretts: Vec<Barrett> = params.moduli.iter().map(|&q| Barrett::new(q)).collect();
         let garner_inv = if params.moduli.len() == 2 {
             let q1 = params.moduli[1];
-            let g = inv_mod(params.moduli[0] % q1, q1);
+            let g = inv_mod(barretts[1].reduce(params.moduli[0] as u128), q1);
             Some((g, shoup_precompute(g, q1)))
         } else {
             None
         };
+        let t_shoup = barretts
+            .iter()
+            .map(|b| {
+                let tq = b.reduce(params.t as u128);
+                (tq, shoup_precompute(tq, b.modulus()))
+            })
+            .collect();
         Self {
             params,
             ntts,
             barretts,
             garner_inv,
+            t_shoup,
             scratch: ScratchPool::default(),
         }
     }
@@ -165,37 +201,23 @@ impl RnsPoly {
     }
 
     /// Builds from signed coefficients (e.g. secrets and errors).
-    pub fn from_signed(ctx: &BgvContext, coeffs: &[i64]) -> Self {
+    pub fn from_signed<T: Copy + Into<i64>>(ctx: &BgvContext, coeffs: &[T]) -> Self {
         assert_eq!(coeffs.len(), ctx.n(), "coefficient count mismatch");
         let rows = ctx
-            .params
-            .moduli
+            .barretts
             .iter()
-            .map(|&q| {
-                coeffs
-                    .iter()
-                    .map(|&c| {
-                        if c >= 0 {
-                            c as u64 % q
-                        } else {
-                            neg_mod(c.unsigned_abs() % q, q)
-                        }
-                    })
-                    .collect()
-            })
+            .map(|b| coeffs.iter().map(|&c| lift_signed(c.into(), b)).collect())
             .collect();
         Self { rows }
     }
 
-    /// Builds from unsigned coefficients already below every modulus... or
-    /// reduced per prime.
+    /// Builds from unsigned coefficients, reducing each per prime.
     pub fn from_unsigned(ctx: &BgvContext, coeffs: &[u64]) -> Self {
         assert_eq!(coeffs.len(), ctx.n(), "coefficient count mismatch");
         let rows = ctx
-            .params
-            .moduli
+            .barretts
             .iter()
-            .map(|&q| coeffs.iter().map(|&c| c % q).collect())
+            .map(|b| coeffs.iter().map(|&c| lift_unsigned(c, b)).collect())
             .collect();
         Self { rows }
     }
@@ -256,18 +278,57 @@ impl RnsPoly {
         Self { rows }
     }
 
-    /// Multiplication by an unsigned scalar.
+    /// Multiplication by an unsigned scalar. Scaling by the plaintext
+    /// modulus `t` uses the context's cached Shoup constants.
     pub fn scale(&self, k: u64, ctx: &BgvContext) -> Self {
         let rows = self
             .rows
             .iter()
-            .zip(&ctx.params.moduli)
-            .map(|(row, &q)| {
-                let kq = k % q;
-                let kq_shoup = shoup_precompute(kq, q);
+            .enumerate()
+            .map(|(i, row)| {
+                let q = ctx.params.moduli[i];
+                let (kq, kq_shoup) = if k == ctx.params.t {
+                    ctx.t_shoup[i]
+                } else {
+                    let kq = lift_unsigned(k, &ctx.barretts[i]);
+                    (kq, shoup_precompute(kq, q))
+                };
                 row.iter()
                     .map(|&c| mul_mod_shoup(c, kq, kq_shoup, q))
                     .collect()
+            })
+            .collect();
+        Self { rows }
+    }
+
+    /// Forward-transforms every row: coefficient form → the per-prime
+    /// negacyclic NTT (evaluation) form.
+    pub(crate) fn into_ntt(mut self, ctx: &BgvContext) -> Self {
+        for (row, ntt) in self.rows.iter_mut().zip(&ctx.ntts) {
+            ntt.forward(row);
+        }
+        self
+    }
+
+    /// The ring product `self · other` of two NTT-form polynomials,
+    /// returned in coefficient form: one pointwise product and one
+    /// inverse transform per prime. Bitwise identical to [`Self::mul`]
+    /// on the coefficient forms.
+    pub(crate) fn mul_ntt(&self, other: &Self, ctx: &BgvContext) -> Self {
+        let rows = self
+            .rows
+            .iter()
+            .zip(&other.rows)
+            .enumerate()
+            .map(|(i, (a, b))| {
+                let barrett = &ctx.barretts[i];
+                let mut prod: Vec<u64> = a
+                    .iter()
+                    .zip(b)
+                    .map(|(&x, &y)| barrett.mul_mod(x, y))
+                    .collect();
+                ctx.ntts[i].inverse(&mut prod);
+                prod
             })
             .collect();
         Self { rows }
@@ -376,6 +437,42 @@ mod tests {
         assert_eq!(back[1], 42);
         assert_eq!(back[2], -1_000_000);
         assert!(back[3..].iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn lifts_match_the_remainder_reference_in_and_out_of_range() {
+        let c = ctx();
+        let q0 = c.params.moduli[0];
+        let mut signed = vec![0i64; c.n()];
+        let mut unsigned = vec![0u64; c.n()];
+        let edge = [
+            0,
+            1,
+            -1,
+            8,
+            -8,
+            q0 as i64 - 1,
+            q0 as i64,
+            -(q0 as i64),
+            i64::MAX,
+            i64::MIN,
+        ];
+        signed[..edge.len()].copy_from_slice(&edge);
+        let big = [0, 7, q0 - 1, q0, q0 + 1, 1 << 62, u64::MAX];
+        unsigned[..big.len()].copy_from_slice(&big);
+        let (ps, pu) = (
+            RnsPoly::from_signed(&c, &signed),
+            RnsPoly::from_unsigned(&c, &unsigned),
+        );
+        for (i, &q) in c.params.moduli.iter().enumerate() {
+            for (j, &v) in signed.iter().enumerate() {
+                let want = (v as i128).rem_euclid(q as i128) as u64; // div-ok: test oracle
+                assert_eq!(ps.rows[i][j], want, "signed {v} mod {q}");
+            }
+            for (j, &v) in unsigned.iter().enumerate() {
+                assert_eq!(pu.rows[i][j], v % q, "unsigned {v} mod {q}"); // div-ok: test oracle
+            }
+        }
     }
 
     #[test]

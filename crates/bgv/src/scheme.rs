@@ -25,12 +25,59 @@ pub struct SecretKey {
 }
 
 /// A BGV public key `(b, a)`.
+///
+/// The key also carries `b` and `a` in per-prime NTT form, computed once
+/// at key generation, so [`encrypt`] transforms only its fresh `u`. The
+/// fields are private so the two forms cannot drift apart.
 #[derive(Clone, Debug)]
 pub struct PublicKey {
     /// `b = -(a·s) + t·e`.
-    pub b: RnsPoly,
+    b: RnsPoly,
     /// Uniform ring element.
-    pub a: RnsPoly,
+    a: RnsPoly,
+    /// `NTT(b)`, row per RNS prime.
+    b_hat: RnsPoly,
+    /// `NTT(a)`, row per RNS prime.
+    a_hat: RnsPoly,
+}
+
+impl PublicKey {
+    /// `b = -(a·s) + t·e`.
+    pub fn b(&self) -> &RnsPoly {
+        &self.b
+    }
+
+    /// The uniform ring element `a`.
+    pub fn a(&self) -> &RnsPoly {
+        &self.a
+    }
+}
+
+/// The randomness one encryption consumes: the ternary `u` and the two
+/// errors `e0`, `e1`, stored as `i8` (every coefficient lies in
+/// `[-error_bound, error_bound]`).
+///
+/// Drawing the noise apart from the ring arithmetic lets a caller draw
+/// many encryptions' noise serially, in a fixed RNG order, and run the
+/// transforms in parallel.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncryptionNoise {
+    u: Vec<i8>,
+    e0: Vec<i8>,
+    e1: Vec<i8>,
+}
+
+impl EncryptionNoise {
+    /// Draws the noise for one encryption: exactly the draws, in exactly
+    /// the order, that [`encrypt`] makes.
+    pub fn sample<R: Rng + ?Sized>(ctx: &BgvContext, rng: &mut R) -> Self {
+        let bound = ctx.params.error_bound;
+        Self {
+            u: sample_ternary(ctx.n(), rng),
+            e0: sample_error(ctx.n(), bound, rng),
+            e1: sample_error(ctx.n(), bound, rng),
+        }
+    }
 }
 
 /// A relinearization (key-switching) key for `s² → s`.
@@ -51,18 +98,18 @@ pub struct Ciphertext {
     pub c1: RnsPoly,
 }
 
-fn sample_ternary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
-    (0..n).map(|_| rng.gen_range(-1i64..=1)).collect()
+fn sample_ternary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i8> {
+    (0..n).map(|_| rng.gen_range(-1i64..=1) as i8).collect()
 }
 
-fn sample_error<R: Rng + ?Sized>(n: usize, bound: u32, rng: &mut R) -> Vec<i64> {
+fn sample_error<R: Rng + ?Sized>(n: usize, bound: u32, rng: &mut R) -> Vec<i8> {
     // Centered binomial: difference of two `bound`-bit popcounts, giving
     // variance `bound / 2` and support `[-bound, bound]`.
     (0..n)
         .map(|_| {
             let a: u32 = rng.gen::<u32>() & ((1u32 << bound) - 1);
             let b: u32 = rng.gen::<u32>() & ((1u32 << bound) - 1);
-            a.count_ones() as i64 - b.count_ones() as i64
+            a.count_ones() as i8 - b.count_ones() as i8
         })
         .collect()
 }
@@ -78,17 +125,27 @@ fn sample_uniform<R: Rng + ?Sized>(ctx: &BgvContext, rng: &mut R) -> RnsPoly {
 }
 
 /// Generates a BGV keypair.
+///
+/// `ŝ` and `â` are transformed once and reused for `s²`, `a·s`, and the
+/// key's NTT form: five NTTs per prime.
 pub fn keygen<R: Rng + ?Sized>(ctx: &BgvContext, rng: &mut R) -> (SecretKey, PublicKey) {
-    let s = sample_ternary(ctx.n(), rng);
+    let s: Vec<i64> = sample_ternary(ctx.n(), rng)
+        .into_iter()
+        .map(i64::from)
+        .collect();
     let s_rns = RnsPoly::from_signed(ctx, &s);
-    let s2_rns = s_rns.mul(&s_rns, ctx);
+    let s_hat = s_rns.clone().into_ntt(ctx);
+    let s2_rns = s_hat.mul_ntt(&s_hat, ctx);
     let a = sample_uniform(ctx, rng);
     let e = RnsPoly::from_signed(ctx, &sample_error(ctx.n(), ctx.params.error_bound, rng));
-    let b = a
-        .mul(&s_rns, ctx)
+    let a_hat = a.clone().into_ntt(ctx);
+    let b = a_hat
+        .mul_ntt(&s_hat, ctx)
         .neg(ctx)
         .add(&e.scale(ctx.params.t, ctx), ctx);
-    (SecretKey { s, s_rns, s2_rns }, PublicKey { b, a })
+    let b_hat = b.clone().into_ntt(ctx);
+    let pk = PublicKey { b, a, b_hat, a_hat };
+    (SecretKey { s, s_rns, s2_rns }, pk)
 }
 
 /// Generates the relinearization key for one multiplication level.
@@ -118,22 +175,35 @@ pub fn relin_keygen<R: Rng + ?Sized>(ctx: &BgvContext, sk: &SecretKey, rng: &mut
     RelinKey { b: bs, a: as_ }
 }
 
-/// Encrypts a plaintext polynomial (coefficients reduced mod `t`).
+/// Encrypts a plaintext polynomial (coefficients reduced mod `t`):
+/// draws [`EncryptionNoise`] from `rng`, then [`encrypt_with_noise`].
 pub fn encrypt<R: Rng + ?Sized>(
     ctx: &BgvContext,
     pk: &PublicKey,
     m: &RnsPoly,
     rng: &mut R,
 ) -> Ciphertext {
+    encrypt_with_noise(ctx, pk, m, &EncryptionNoise::sample(ctx, rng))
+}
+
+/// Encrypts `m` under pre-drawn noise:
+/// `(c0, c1) = (b·u + t·e0 + m, a·u + t·e1)`.
+///
+/// Uses the key's NTT form, so the ring products cost one forward
+/// transform of `u` and two inverse transforms per prime.
+pub fn encrypt_with_noise(
+    ctx: &BgvContext,
+    pk: &PublicKey,
+    m: &RnsPoly,
+    noise: &EncryptionNoise,
+) -> Ciphertext {
     let t = ctx.params.t;
-    let u = RnsPoly::from_signed(ctx, &sample_ternary(ctx.n(), rng));
-    let e0 = RnsPoly::from_signed(ctx, &sample_error(ctx.n(), ctx.params.error_bound, rng));
-    let e1 = RnsPoly::from_signed(ctx, &sample_error(ctx.n(), ctx.params.error_bound, rng));
-    let mut c0 = pk.b.mul(&u, ctx);
-    c0.add_assign(&e0.scale(t, ctx), ctx);
+    let u_hat = RnsPoly::from_signed(ctx, &noise.u).into_ntt(ctx);
+    let mut c0 = pk.b_hat.mul_ntt(&u_hat, ctx);
+    c0.add_assign(&RnsPoly::from_signed(ctx, &noise.e0).scale(t, ctx), ctx);
     c0.add_assign(m, ctx);
-    let mut c1 = pk.a.mul(&u, ctx);
-    c1.add_assign(&e1.scale(t, ctx), ctx);
+    let mut c1 = pk.a_hat.mul_ntt(&u_hat, ctx);
+    c1.add_assign(&RnsPoly::from_signed(ctx, &noise.e1).scale(t, ctx), ctx);
     Ciphertext { c0, c1 }
 }
 
@@ -143,7 +213,7 @@ pub fn decrypt(ctx: &BgvContext, sk: &SecretKey, ct: &Ciphertext) -> Vec<u64> {
     let d = ct.c0.add(&ct.c1.mul(&sk.s_rns, ctx), ctx);
     d.centered_coeffs(ctx)
         .into_iter()
-        .map(|c| (((c % t) + t) % t) as u64)
+        .map(|c| (((c % t) + t) % t) as u64) // div-ok: centred lift, once per decryption
         .collect()
 }
 
@@ -283,7 +353,7 @@ pub fn noise_budget_bits(ctx: &BgvContext, sk: &SecretKey, ct: &Ciphertext) -> i
         .centered_coeffs(ctx)
         .into_iter()
         .map(|c| {
-            let m = ((c % t) + t) % t;
+            let m = ((c % t) + t) % t; // div-ok: noise diagnostic, off the hot path
             ((c - m) / t).unsigned_abs()
         })
         .max()

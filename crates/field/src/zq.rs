@@ -245,7 +245,7 @@ impl ShoupVec {
     /// Builds the paired table from successive powers of `base`.
     fn powers(base: u64, n: usize, q: u64) -> Self {
         let mut w = Vec::with_capacity(n);
-        let mut acc = 1u64 % q;
+        let mut acc = 1u64 % q; // div-ok: once per table build
         for _ in 0..n {
             w.push(acc);
             acc = mul_mod(acc, base, q);
@@ -500,8 +500,8 @@ mod tests {
         }
 
         pub fn pow_mod(mut a: u64, mut e: u64, m: u64) -> u64 {
-            let mut acc = 1u64 % m;
-            a %= m;
+            let mut acc = 1u64 % m; // div-ok: test oracle
+            a %= m; // div-ok: test oracle
             while e != 0 {
                 if e & 1 == 1 {
                     acc = mul_mod(acc, a, m);
@@ -539,7 +539,8 @@ mod tests {
                 (u64::MAX, u64::MAX),
                 (123_456_789, 987_654_321),
             ] {
-                assert_eq!(b.mul_mod(x, y), naive::mul_mod(x % q, y % q, q), "q={q}");
+                let want = naive::mul_mod(x % q, y % q, q); // div-ok: test oracle
+                assert_eq!(b.mul_mod(x, y), want, "q={q}");
             }
             assert_eq!(b.reduce(u128::MAX), (u128::MAX % q as u128) as u64); // div-ok: test oracle
             assert_eq!(b.pow(7, 300), naive::pow_mod(7, 300, q));
@@ -548,7 +549,7 @@ mod tests {
         let b = Barrett::new(1 << 20);
         assert_eq!(b.mul_mod(u64::MAX, u64::MAX), {
             let z = u64::MAX as u128 * u64::MAX as u128;
-            (z % (1u128 << 20)) as u64
+            (z % (1u128 << 20)) as u64 // div-ok: test oracle
         });
     }
 
@@ -562,7 +563,7 @@ mod tests {
                     assert!(lazy < 2 * q, "lazy out of range: q={q} w={w} a={a}");
                     assert_eq!(
                         mul_mod_shoup(a, w, ws, q),
-                        naive::mul_mod(a % q, w, q),
+                        naive::mul_mod(a % q, w, q), // div-ok: test oracle
                         "q={q} w={w} a={a}"
                     );
                 }
@@ -574,7 +575,7 @@ mod tests {
     fn rt_ntt_roundtrip() {
         for (&q, &r) in [BGV_Q1, BGV_Q2].iter().zip(&BGV_Q_ROOTS[..2]) {
             let t = RtNttTable::new(128, q, r);
-            let orig: Vec<u64> = (0..128).map(|i| (i * i * 977 + 3) % q).collect();
+            let orig: Vec<u64> = (0..128).map(|i| (i * i * 977 + 3) % q).collect(); // div-ok: test input
             let mut a = orig.clone();
             t.forward(&mut a);
             assert!(a.iter().all(|&x| x < q), "forward output not canonical");
@@ -632,7 +633,7 @@ mod tests {
         // division-based scaling pass.
         let t = RtNttTable::new(16, BGV_Q1, BGV_Q_ROOTS[0]);
         let mut raw: Vec<u64> = (0..16).map(|i| u64::MAX - i).collect();
-        let mut reduced: Vec<u64> = raw.iter().map(|&x| x % BGV_Q1).collect();
+        let mut reduced: Vec<u64> = raw.iter().map(|&x| x % BGV_Q1).collect(); // div-ok: test oracle
         t.forward(&mut raw);
         t.forward(&mut reduced);
         assert_eq!(raw, reduced);

@@ -9,7 +9,7 @@
 //! costs come from the planner's cost model, exactly mirroring the
 //! paper's benchmark-then-extrapolate methodology (§7.1).
 
-use arboretum_bgv::{decrypt as bgv_decrypt, encode_coeffs, encrypt as bgv_encrypt, Ciphertext};
+use arboretum_bgv::{decrypt as bgv_decrypt, Ciphertext, EncryptionNoise};
 use arboretum_crypto::group::Scalar;
 use arboretum_crypto::pedersen::PedersenParams;
 use arboretum_crypto::schnorr::{verify as schnorr_verify, Signature};
@@ -30,10 +30,6 @@ use arboretum_vsr::{
     combine_batches, combine_batches_detailed, feldman_share, reconstruct as vsr_reconstruct,
     redistribute_share, BatchRejectReason, VShare,
 };
-use arboretum_zkp::onehot::{
-    prove_one_hot, verify_one_hot_detailed, OneHotProof, OneHotVerifyError,
-};
-use arboretum_zkp::range::{prove_range, verify_range_detailed, RangeVerifyError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,12 +37,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::adversary::{
-    ciphertext_digest, forge_one_hot, Adversary, AggregatorBehavior, CommitteeBehavior, Detection,
-    DetectionKind, DeviceBehavior, Subject,
+    ciphertext_digest, Adversary, AggregatorBehavior, CommitteeBehavior, Detection, DetectionKind,
+    DeviceBehavior, Subject,
 };
 use crate::audit::{
     adversarial_audit, audit, challenges_per_device, collate_detection, StepLog, DROPPED_MARKER,
 };
+use crate::input::{build_upload, seal, verify_upload, InputSchema, Upload};
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
 use crate::setup::{SessionSetup, SetupCounters};
 
@@ -160,11 +157,12 @@ pub struct ExecutionConfig {
     pub budget: PrivacyCost,
     /// Step-audit miss probability target.
     pub p_max: f64,
-    /// Thread configuration for the aggregator's parallel phases
-    /// (batch proof verification and ciphertext aggregation). Outputs,
+    /// Thread configuration for the parallel phases (proving, proof
+    /// verification, encryption, and ciphertext aggregation). Outputs,
     /// metrics, and the aggregate ciphertext are identical at every
-    /// thread count: all randomness is drawn in serial phases, and the
-    /// ⊞-reduction uses a fixed combine tree.
+    /// thread count: every random draw is made either in a serial phase
+    /// in device order or from an RNG seeded by the device's global
+    /// index, and the ⊞-reduction uses a fixed combine tree.
     pub par: ParConfig,
     /// Network fabric for the simulated MPC engines. `None` falls back
     /// to the process-wide default ([`arboretum_net::global_fabric`])
@@ -303,6 +301,12 @@ pub struct ExecutionReport {
     pub aggregate_ops: u64,
     /// Ring degree the aggregation ran at.
     pub ring_degree: u64,
+    /// Digest of the honest ⊞-aggregate ciphertext, as the step log's
+    /// aggregation step commits it (a stream reports its final
+    /// accumulator). Deterministic at every thread and shard count (and
+    /// every window partition of a stream), yet it moves if any accepted
+    /// device's ciphertext does.
+    pub aggregate_digest: Digest,
     /// Fixed-cost setup work this execution performed itself. All-zero
     /// when the execution ran against a cached [`SessionSetup`] (the
     /// session-catalog path): sortition and keygen were amortized.
@@ -452,7 +456,6 @@ fn execute_inner(
     let committees = &setup.committees;
     let ctx = Arc::clone(&setup.ctx);
     let sk = &setup.sk;
-    let pk = &setup.pk;
     // Sharded pools: leased from the caller's pool bank, or fresh so the
     // per-phase counter deltas below cover exactly this execution (they
     // feed `planner::cost::PoolCalibration`). Results never depend on
@@ -542,11 +545,7 @@ fn execute_inner(
     // `ok_steps[j]` is the step recording `accepted[j]`. The aggregator
     // behaviors target these (drop a victim, reorder a pair).
     let mut ok_steps: Vec<usize> = Vec::new();
-    let one_hot_schema = deployment.schema.one_hot;
-    let range_bits = {
-        let span = (deployment.schema.hi - deployment.schema.lo).max(1) as u64;
-        64 - span.leading_zeros()
-    };
+    let schema = InputSchema::of(&deployment.schema);
     // Phase A (split serial/parallel): every device builds its upload —
     // the claimed values plus a proof of well-formedness. The
     // malicious-fraction draws stay on the serial RNG (a pre-pass, so
@@ -555,16 +554,6 @@ fn execute_inner(
     // from its *global* index, exactly as `net_exec::run_concurrent`
     // salts per-task seeds. Totals are therefore bitwise identical at
     // every thread and shard count.
-    enum Upload {
-        OneHot {
-            bits: Vec<u64>,
-            proof: Option<OneHotProof>,
-        },
-        Ranges {
-            vals: Vec<u64>,
-            proofs: Option<Vec<arboretum_zkp::range::RangeProof>>,
-        },
-    }
     let malicious_flags: Vec<bool> = (0..n)
         .map(|_| rng.gen::<f64>() < cfg.malicious_fraction)
         .collect();
@@ -576,7 +565,7 @@ fn execute_inner(
         .map(|i| match adversary {
             Some(adv) => adv.device_behavior(i),
             None if malicious_flags[i] => {
-                if one_hot_schema {
+                if deployment.schema.one_hot {
                     DeviceBehavior::TruncatedProof
                 } else {
                     DeviceBehavior::OutOfRangeValue
@@ -591,113 +580,12 @@ fn execute_inner(
         .cloned()
         .zip(behaviors.iter().copied())
         .collect();
-    let jobs = Arc::new(jobs);
-    let (schema_lo, schema_hi) = (deployment.schema.lo, deployment.schema.hi);
     let upload_seed = cfg.seed ^ upload_tag();
-    let uploads: Vec<Upload> = par_map_arc_sharded(shard_set, &jobs, move |i, (row, behavior)| {
-        let mut dev_rng =
-            StdRng::seed_from_u64(upload_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let bits: Vec<u64> = row.iter().map(|&v| v as u64).collect();
-        if !one_hot_schema {
-            // Numerical inputs: per-field range proofs (§5.3's
-            // "1,000 years old" defense).
-            let effective_row: Vec<i64> = if *behavior == DeviceBehavior::OutOfRangeValue {
-                row.iter()
-                    .map(|&v| v + (schema_hi - schema_lo + 1))
-                    .collect()
-            } else {
-                row.clone()
-            };
-            let mut proofs: Option<Vec<_>> = effective_row
-                .iter()
-                .map(|&v| {
-                    let shifted = v.checked_sub(schema_lo).filter(|&s| s >= 0)? as u64;
-                    prove_range(&pp, shifted, range_bits, &mut dev_rng)
-                        .ok()
-                        .map(|(p, _)| p)
-                })
-                .collect();
-            match behavior {
-                DeviceBehavior::TamperSigmaProof => {
-                    if let Some(bp) = proofs
-                        .as_mut()
-                        .and_then(|ps| ps.first_mut())
-                        .and_then(|p| p.bit_proofs.first_mut())
-                    {
-                        bp.z0 += Scalar::ONE;
-                    }
-                }
-                DeviceBehavior::MalformedOneHot | DeviceBehavior::TruncatedProof => {
-                    if let Some(ps) = proofs.as_mut() {
-                        ps.pop();
-                    }
-                }
-                _ => {}
-            }
-            let vals: Vec<u64> = effective_row.iter().map(|&v| v as u64).collect();
-            return Upload::Ranges { vals, proofs };
-        }
-        match behavior {
-            DeviceBehavior::TruncatedProof => {
-                // Malformed input: claims two categories at once.
-                let mut bad = bits.clone();
-                if let Some(slot) = bad.iter_mut().find(|b| **b == 0) {
-                    *slot = 1;
-                }
-                // A malicious client cannot produce a valid proof for a
-                // non-one-hot vector; it sends a proof for different data.
-                let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok();
-                Upload::OneHot {
-                    bits: bad,
-                    proof: p.map(|mut p| {
-                        // Tamper so verification fails.
-                        p.bit_proofs.pop();
-                        p
-                    }),
-                }
-            }
-            DeviceBehavior::TamperSigmaProof => {
-                let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok().map(|mut p| {
-                    if let Some(bp) = p.bit_proofs.first_mut() {
-                        bp.z0 += Scalar::ONE;
-                    }
-                    p
-                });
-                Upload::OneHot { bits, proof: p }
-            }
-            DeviceBehavior::MalformedOneHot => {
-                // Claims two categories with a best-effort forged
-                // proof: every coordinate is still a bit, so the
-                // first failure is the coordinate-sum proof.
-                let mut bad = bits.clone();
-                if let Some(slot) = bad.iter_mut().find(|b| **b == 0) {
-                    *slot = 1;
-                }
-                let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
-                Upload::OneHot {
-                    bits: bad,
-                    proof: Some(proof),
-                }
-            }
-            DeviceBehavior::OutOfRangeValue => {
-                // Claims a coordinate of 2; the forged bit proof at
-                // the hot coordinate cannot verify.
-                let mut bad = bits.clone();
-                if let Some(slot) = bad.iter_mut().find(|b| **b == 1) {
-                    *slot = 2;
-                }
-                let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
-                Upload::OneHot {
-                    bits: bad,
-                    proof: Some(proof),
-                }
-            }
-            DeviceBehavior::Honest | DeviceBehavior::WrongBgvCiphertext => {
-                let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok();
-                Upload::OneHot { bits, proof: p }
-            }
-        }
-    });
+    let uploads: Vec<Upload> =
+        par_map_arc_sharded(shard_set, &Arc::new(jobs), move |i, (row, behavior)| {
+            let mut dev_rng = StdRng::seed_from_u64(upload_seed ^ mix(i as u64));
+            build_upload(&pp, schema, row, *behavior, &mut dev_rng)
+        });
 
     // Phase B (parallel, pure): the aggregator verifies every proof
     // across the device shards. Verification touches no RNG and the
@@ -706,40 +594,9 @@ fn execute_inner(
     let uploads = Arc::new(uploads);
     let verify_ops = uploads.len() as u64;
     let verify_before = shard_set.stats();
-    // `None` = accept; `Some(kind)` = reject for that typed reason. The
-    // accept/reject partition is identical to the old boolean verdicts:
-    // every code path that returned `false` now returns a kind.
     let verdicts: Vec<Option<DetectionKind>> =
-        par_map_arc_sharded(shard_set, &uploads, move |_, upload| match upload {
-            Upload::OneHot { proof, .. } => match proof {
-                None => Some(DetectionKind::OneHotStructure),
-                Some(p) => match verify_one_hot_detailed(&pp, p) {
-                    Ok(()) => None,
-                    Err(OneHotVerifyError::Structure) => Some(DetectionKind::OneHotStructure),
-                    Err(OneHotVerifyError::BitProof(index)) => {
-                        Some(DetectionKind::OneHotBitProof { index })
-                    }
-                    Err(OneHotVerifyError::SumProof) => Some(DetectionKind::OneHotSumProof),
-                },
-            },
-            Upload::Ranges { vals, proofs } => {
-                match proofs {
-                    None => Some(DetectionKind::RangeProofMissing),
-                    Some(ps) if ps.len() != vals.len() => Some(DetectionKind::RangeStructure),
-                    Some(ps) => ps.iter().enumerate().find_map(|(field, p)| {
-                        match verify_range_detailed(&pp, p, range_bits) {
-                            Ok(()) => None,
-                            Err(RangeVerifyError::Structure) => Some(DetectionKind::RangeStructure),
-                            Err(RangeVerifyError::Binding) => {
-                                Some(DetectionKind::RangeBinding { field })
-                            }
-                            Err(RangeVerifyError::BitProof(index)) => {
-                                Some(DetectionKind::RangeBitProof { field, index })
-                            }
-                        }
-                    }),
-                }
-            }
+        par_map_arc_sharded(shard_set, &uploads, move |_, upload| {
+            verify_upload(&pp, schema, upload)
         });
     let verify_pool: Vec<PoolStats> = shard_set
         .stats()
@@ -748,9 +605,50 @@ fn execute_inner(
         .map(|(now, before)| now.since(before))
         .collect();
 
-    // Phase C (serial, draws randomness): accepted devices go through
-    // the sampling decision (§6's secrecy of the sample) and encrypt.
-    for (i, (upload, verdict)) in uploads.iter().zip(&verdicts).enumerate() {
+    // Phase C (split serial/parallel): accepted devices go through the
+    // sampling decision (§6's secrecy of the sample) and encrypt. A
+    // serial pre-pass draws from the main RNG in device order: the
+    // sampling draw, then the encryption noise, then a
+    // `WrongBgvCiphertext` device's second noise. Only the transforms
+    // and ring products run on the sharded pool, so every ciphertext is
+    // bitwise identical at any thread and shard count. One serial pass
+    // then rebuilds detections, the step log, and `accepted` in device
+    // order.
+    let mut binned_out = vec![false; n];
+    // Per encrypting device: its index, noise, and (for a
+    // `WrongBgvCiphertext` device) the submitted ciphertext's noise.
+    let mut seal_jobs: Vec<(usize, EncryptionNoise, Option<EncryptionNoise>)> = Vec::new();
+    for (i, verdict) in verdicts.iter().enumerate() {
+        if verdict.is_some() {
+            continue;
+        }
+        if let Some(phi) = logical.certificate.sampling_rate {
+            if rng.gen::<f64>() >= phi {
+                binned_out[i] = true;
+                continue;
+            }
+        }
+        let noise = EncryptionNoise::sample(&ctx, &mut rng);
+        let wrong_noise = (behaviors[i] == DeviceBehavior::WrongBgvCiphertext)
+            .then(|| EncryptionNoise::sample(&ctx, &mut rng));
+        seal_jobs.push((i, noise, wrong_noise));
+    }
+    let sealed = {
+        let (ctx, pk, uploads) = (
+            Arc::clone(&ctx),
+            Arc::clone(&setup.pk),
+            Arc::clone(&uploads),
+        );
+        par_map_arc_sharded(
+            shard_set,
+            &Arc::new(seal_jobs),
+            move |_, (i, noise, wrong)| {
+                seal(&ctx, &pk, uploads[*i].values(), noise, wrong.as_ref())
+            },
+        )
+    };
+    let mut sealed = sealed.into_iter();
+    for (i, verdict) in verdicts.iter().enumerate() {
         if let Some(kind) = verdict {
             rejected += 1;
             if adversary.is_some() {
@@ -761,40 +659,27 @@ fn execute_inner(
             }
             continue;
         }
-        if let Some(phi) = logical.certificate.sampling_rate {
-            if rng.gen::<f64>() >= phi {
-                step_results.push(format!("input-{i}-binned-out").into_bytes());
-                continue;
-            }
+        if binned_out[i] {
+            step_results.push(format!("input-{i}-binned-out").into_bytes());
+            continue;
         }
-        let vals = match upload {
-            Upload::OneHot { bits, .. } => bits,
-            Upload::Ranges { vals, .. } => vals,
-        };
-        let msg = encode_coeffs(&ctx, vals).map_err(|e| ExecError::Unsupported(e.to_string()))?;
-        let ct = bgv_encrypt(&ctx, pk, &msg, &mut rng);
-        if adversary.is_some() && behaviors[i] == DeviceBehavior::WrongBgvCiphertext {
-            // The validated upload binds the device to `vals`; this
-            // device instead submits a ciphertext of different data.
-            // The aggregator cross-checks the digest of the submitted
-            // ciphertext against the one recomputed from the upload.
-            let mut wrong = vals.clone();
-            wrong[0] = wrong[0].wrapping_add(1);
-            let wrong_msg =
-                encode_coeffs(&ctx, &wrong).map_err(|e| ExecError::Unsupported(e.to_string()))?;
-            let submitted = bgv_encrypt(&ctx, pk, &wrong_msg, &mut rng);
-            if ciphertext_digest(&submitted) != ciphertext_digest(&ct) {
+        match sealed
+            .next()
+            .expect("one sealed upload per encrypting device")?
+        {
+            Some(ct) => {
+                ok_steps.push(step_results.len());
+                step_results.push(format!("input-{i}-ok").into_bytes());
+                accepted.push(ct);
+            }
+            None => {
                 rejected += 1;
                 detections.push(Detection {
                     subject: Subject::Device(i),
                     kind: DetectionKind::CiphertextMismatch,
                 });
-                continue;
             }
         }
-        ok_steps.push(step_results.len());
-        step_results.push(format!("input-{i}-ok").into_bytes());
-        accepted.push(ct);
     }
 
     // ---- Aggregation vignette. ----
@@ -862,8 +747,9 @@ fn execute_inner(
         b"aggregator-sum"
     };
     let agg_step = step_results.len();
+    let aggregate_digest = ciphertext_digest(&total_ct);
     let mut agg_contents = agg_label.to_vec();
-    agg_contents.extend_from_slice(&ciphertext_digest(&total_ct));
+    agg_contents.extend_from_slice(&aggregate_digest);
     step_results.push(agg_contents);
     let aggregate_pool: Vec<PoolStats> = shard_set
         .stats()
@@ -1150,6 +1036,7 @@ fn execute_inner(
             aggregate_pool,
             aggregate_ops,
             ring_degree: ctx.params.n as u64,
+            aggregate_digest,
             setup: if setup_is_fresh {
                 setup.counters.clone()
             } else {
@@ -1170,6 +1057,12 @@ pub(crate) fn _tag(b: &[u8]) -> u64 {
 
 pub(crate) fn x0p5_tag() -> u64 {
     _tag(b"mechanism-mpc")
+}
+
+/// Spreads a device index over the 64-bit seed space before it salts a
+/// per-device RNG seed.
+pub(crate) fn mix(i: u64) -> u64 {
+    i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 pub(crate) fn upload_tag() -> u64 {

@@ -15,6 +15,7 @@
 pub mod adversary;
 pub mod audit;
 pub mod executor;
+mod input;
 pub mod mpc_eval;
 pub mod net_exec;
 pub mod session;

@@ -67,8 +67,9 @@ pub struct SessionSetup {
     pub ctx: Arc<BgvContext>,
     /// The session secret key (held by the simulated committees).
     pub sk: SecretKey,
-    /// The session public key devices encrypt under.
-    pub pk: PublicKey,
+    /// The session public key devices encrypt under (shared with the
+    /// parallel encryption phase without a per-query copy).
+    pub pk: Arc<PublicKey>,
     /// Digest of the published public key (bound into certificates).
     pub pk_digest: Digest,
     /// Metered cost of the distributed key generation.
@@ -181,7 +182,7 @@ pub fn build_session_setup_observed(
 
     let pk_digest = {
         let mut bytes = Vec::new();
-        for row in &pk.a.rows {
+        for row in &pk.a().rows {
             for &c in row.iter().take(8) {
                 bytes.extend_from_slice(&c.to_be_bytes());
             }
@@ -199,7 +200,7 @@ pub fn build_session_setup_observed(
         committees,
         ctx,
         sk,
-        pk,
+        pk: Arc::new(pk),
         pk_digest,
         keygen_metrics,
         counters,

@@ -34,9 +34,7 @@
 //! `crates/runtime/tests/stream_props.rs` and `stream_determinism.rs`
 //! pin this contract down.
 
-use arboretum_bgv::{
-    decrypt as bgv_decrypt, encode_coeffs, encrypt as bgv_encrypt, Ciphertext, RnsPoly,
-};
+use arboretum_bgv::{decrypt as bgv_decrypt, Ciphertext, EncryptionNoise, RnsPoly};
 use arboretum_crypto::group::{scalar_from_hash, GroupElem, Scalar};
 use arboretum_crypto::pedersen::PedersenParams;
 use arboretum_crypto::sha256::{sha256, Digest};
@@ -53,10 +51,6 @@ use arboretum_vsr::{
     combine_batches_detailed, combine_commitments, feldman_share, reconstruct as vsr_reconstruct,
     redistribute_share, verify_batch, BatchRejectReason, SubshareBatch, VShare,
 };
-use arboretum_zkp::onehot::{
-    prove_one_hot, verify_one_hot_detailed, OneHotProof, OneHotVerifyError,
-};
-use arboretum_zkp::range::{prove_range, verify_range_detailed, RangeVerifyError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,14 +58,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::adversary::{
-    ciphertext_digest, forge_one_hot, CommitteeBehavior, Detection, DetectionKind, DeviceBehavior,
-    Subject,
+    ciphertext_digest, CommitteeBehavior, Detection, DetectionKind, DeviceBehavior, Subject,
 };
 use crate::audit::{audit, challenges_per_device, StepLog};
 use crate::executor::{
-    find_aggregation, upload_tag, x0p5_tag, Deployment, ExecError, ExecutionConfig,
+    find_aggregation, mix, upload_tag, x0p5_tag, Deployment, ExecError, ExecutionConfig,
     ExecutionReport, QueryCert,
 };
+use crate::input::{build_upload, seal, verify_upload, InputSchema, Upload};
 use crate::mpc_eval::{MVal, MechStyle, MpcEvaluator};
 use crate::setup::{SessionSetup, SetupCounters};
 
@@ -95,10 +89,6 @@ fn draw(seed: u64, domain: &[u8], index: u64) -> u64 {
     bytes.extend_from_slice(&index.to_be_bytes());
     let d = sha256(&bytes);
     u64::from_be_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]])
-}
-
-fn mix(i: u64) -> u64 {
-    i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 fn stream_encrypt_tag() -> u64 {
@@ -391,17 +381,6 @@ impl From<ExecError> for StreamError {
     }
 }
 
-enum Upload {
-    OneHot {
-        bits: Vec<u64>,
-        proof: Option<OneHotProof>,
-    },
-    Ranges {
-        vals: Vec<u64>,
-        proofs: Option<Vec<arboretum_zkp::range::RangeProof>>,
-    },
-}
-
 /// Windowed ingestion over a standing [`SessionSetup`].
 ///
 /// Drive it window by window with [`Self::ingest_next`], snapshot the
@@ -584,7 +563,6 @@ impl<'a> StreamExecutor<'a> {
         }
         let arrivals = self.schedule.window(w);
         let ctx = Arc::clone(&self.setup.ctx);
-        let pk = &self.setup.pk;
         let shard_set: &ShardedPool = match self.lease {
             Some(p) => p,
             None => self.owned_pool.as_ref().expect("constructed without lease"),
@@ -595,12 +573,7 @@ impl<'a> StreamExecutor<'a> {
         // registry index with the same tag as the batch path, so a
         // device's upload is byte-identical no matter which window it
         // lands in. ----
-        let one_hot_schema = self.deployment.schema.one_hot;
-        let (schema_lo, schema_hi) = (self.deployment.schema.lo, self.deployment.schema.hi);
-        let range_bits = {
-            let span = (schema_hi - schema_lo).max(1) as u64;
-            64 - span.leading_zeros()
-        };
+        let schema = InputSchema::of(&self.deployment.schema);
         let behaviors: Vec<DeviceBehavior> = arrivals
             .iter()
             .map(|&i| match adversary {
@@ -608,7 +581,7 @@ impl<'a> StreamExecutor<'a> {
                 None => {
                     let r = draw(self.cfg.seed, b"stream-malicious", i as u64);
                     if (r as f64 / u64::MAX as f64) < self.cfg.malicious_fraction {
-                        if one_hot_schema {
+                        if self.deployment.schema.one_hot {
                             DeviceBehavior::TruncatedProof
                         } else {
                             DeviceBehavior::OutOfRangeValue
@@ -624,136 +597,24 @@ impl<'a> StreamExecutor<'a> {
             .zip(behaviors.iter())
             .map(|(&i, &b)| (i, self.deployment.db[i].clone(), b))
             .collect();
-        let jobs = Arc::new(jobs);
         let pp = PedersenParams::standard();
         let upload_seed = self.cfg.seed ^ upload_tag();
-        let uploads: Vec<Upload> =
-            par_map_arc_sharded(shard_set, &jobs, move |_, (global_i, row, behavior)| {
+        let uploads: Vec<Upload> = par_map_arc_sharded(
+            shard_set,
+            &Arc::new(jobs),
+            move |_, (global_i, row, behavior)| {
                 let mut dev_rng = StdRng::seed_from_u64(upload_seed ^ mix(*global_i as u64));
-                let bits: Vec<u64> = row.iter().map(|&v| v as u64).collect();
-                if !one_hot_schema {
-                    let effective_row: Vec<i64> = if *behavior == DeviceBehavior::OutOfRangeValue {
-                        row.iter()
-                            .map(|&v| v + (schema_hi - schema_lo + 1))
-                            .collect()
-                    } else {
-                        row.clone()
-                    };
-                    let mut proofs: Option<Vec<_>> = effective_row
-                        .iter()
-                        .map(|&v| {
-                            let shifted = v.checked_sub(schema_lo).filter(|&s| s >= 0)? as u64;
-                            prove_range(&pp, shifted, range_bits, &mut dev_rng)
-                                .ok()
-                                .map(|(p, _)| p)
-                        })
-                        .collect();
-                    match behavior {
-                        DeviceBehavior::TamperSigmaProof => {
-                            if let Some(bp) = proofs
-                                .as_mut()
-                                .and_then(|ps| ps.first_mut())
-                                .and_then(|p| p.bit_proofs.first_mut())
-                            {
-                                bp.z0 += Scalar::ONE;
-                            }
-                        }
-                        DeviceBehavior::MalformedOneHot | DeviceBehavior::TruncatedProof => {
-                            if let Some(ps) = proofs.as_mut() {
-                                ps.pop();
-                            }
-                        }
-                        _ => {}
-                    }
-                    let vals: Vec<u64> = effective_row.iter().map(|&v| v as u64).collect();
-                    return Upload::Ranges { vals, proofs };
-                }
-                match behavior {
-                    DeviceBehavior::TruncatedProof => {
-                        let mut bad = bits.clone();
-                        if let Some(slot) = bad.iter_mut().find(|b| **b == 0) {
-                            *slot = 1;
-                        }
-                        let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok();
-                        Upload::OneHot {
-                            bits: bad,
-                            proof: p.map(|mut p| {
-                                p.bit_proofs.pop();
-                                p
-                            }),
-                        }
-                    }
-                    DeviceBehavior::TamperSigmaProof => {
-                        let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok().map(|mut p| {
-                            if let Some(bp) = p.bit_proofs.first_mut() {
-                                bp.z0 += Scalar::ONE;
-                            }
-                            p
-                        });
-                        Upload::OneHot { bits, proof: p }
-                    }
-                    DeviceBehavior::MalformedOneHot => {
-                        let mut bad = bits.clone();
-                        if let Some(slot) = bad.iter_mut().find(|b| **b == 0) {
-                            *slot = 1;
-                        }
-                        let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
-                        Upload::OneHot {
-                            bits: bad,
-                            proof: Some(proof),
-                        }
-                    }
-                    DeviceBehavior::OutOfRangeValue => {
-                        let mut bad = bits.clone();
-                        if let Some(slot) = bad.iter_mut().find(|b| **b == 1) {
-                            *slot = 2;
-                        }
-                        let proof = forge_one_hot(&pp, &bad, &mut dev_rng);
-                        Upload::OneHot {
-                            bits: bad,
-                            proof: Some(proof),
-                        }
-                    }
-                    DeviceBehavior::Honest | DeviceBehavior::WrongBgvCiphertext => {
-                        let p = prove_one_hot(&pp, &bits, &mut dev_rng).ok();
-                        Upload::OneHot { bits, proof: p }
-                    }
-                }
-            });
+                build_upload(&pp, schema, row, *behavior, &mut dev_rng)
+            },
+        );
 
         // ---- Phase B (parallel, pure): verify this window's proofs. ----
         let uploads = Arc::new(uploads);
         self.verify_ops += uploads.len() as u64;
         let verify_before = shard_set.stats();
         let verdicts: Vec<Option<DetectionKind>> =
-            par_map_arc_sharded(shard_set, &uploads, move |_, upload| match upload {
-                Upload::OneHot { proof, .. } => match proof {
-                    None => Some(DetectionKind::OneHotStructure),
-                    Some(p) => match verify_one_hot_detailed(&pp, p) {
-                        Ok(()) => None,
-                        Err(OneHotVerifyError::Structure) => Some(DetectionKind::OneHotStructure),
-                        Err(OneHotVerifyError::BitProof(index)) => {
-                            Some(DetectionKind::OneHotBitProof { index })
-                        }
-                        Err(OneHotVerifyError::SumProof) => Some(DetectionKind::OneHotSumProof),
-                    },
-                },
-                Upload::Ranges { vals, proofs } => match proofs {
-                    None => Some(DetectionKind::RangeProofMissing),
-                    Some(ps) if ps.len() != vals.len() => Some(DetectionKind::RangeStructure),
-                    Some(ps) => ps.iter().enumerate().find_map(|(field, p)| {
-                        match verify_range_detailed(&pp, p, range_bits) {
-                            Ok(()) => None,
-                            Err(RangeVerifyError::Structure) => Some(DetectionKind::RangeStructure),
-                            Err(RangeVerifyError::Binding) => {
-                                Some(DetectionKind::RangeBinding { field })
-                            }
-                            Err(RangeVerifyError::BitProof(index)) => {
-                                Some(DetectionKind::RangeBitProof { field, index })
-                            }
-                        }
-                    }),
-                },
+            par_map_arc_sharded(shard_set, &uploads, move |_, upload| {
+                verify_upload(&pp, schema, upload)
             });
         let verify_delta: Vec<PoolStats> = shard_set
             .stats()
@@ -763,55 +624,62 @@ impl<'a> StreamExecutor<'a> {
             .collect();
         add_stats(&mut self.verify_pool_total, &verify_delta);
 
-        // ---- Phase C (serial, pure per device): accepted arrivals
-        // encrypt from their own derived RNG stream (seeded by global
-        // index), so ciphertexts are window-placement invariant. ----
+        // ---- Phase C (parallel, pure per device): accepted arrivals
+        // encrypt on the sharded pool, each from its own RNG stream
+        // seeded by its global index, so ciphertexts are invariant
+        // under window placement, threads, and shards. Detections and
+        // the step log are then rebuilt in arrival order. ----
+        let encrypt_seed = self.cfg.seed ^ stream_encrypt_tag();
+        let seal_jobs: Vec<(usize, usize, bool)> = verdicts
+            .iter()
+            .enumerate()
+            .filter(|(_, verdict)| verdict.is_none())
+            .map(|(k, _)| {
+                let wrong = behaviors[k] == DeviceBehavior::WrongBgvCiphertext;
+                (k, arrivals[k], wrong)
+            })
+            .collect();
+        let sealed = {
+            let (ctx, pk, uploads) = (
+                Arc::clone(&ctx),
+                Arc::clone(&self.setup.pk),
+                Arc::clone(&uploads),
+            );
+            par_map_arc_sharded(shard_set, &Arc::new(seal_jobs), move |_, &(k, i, wrong)| {
+                let mut enc_rng = StdRng::seed_from_u64(encrypt_seed ^ mix(i as u64));
+                let noise = EncryptionNoise::sample(&ctx, &mut enc_rng);
+                let wrong_noise = wrong.then(|| EncryptionNoise::sample(&ctx, &mut enc_rng));
+                seal(&ctx, &pk, uploads[k].values(), &noise, wrong_noise.as_ref())
+            })
+        };
+        let mut sealed = sealed.into_iter();
         let mut window_accepted = 0usize;
         let mut window_rejected = 0usize;
         let mut cts: Vec<Ciphertext> = Vec::new();
-        let encrypt_seed = self.cfg.seed ^ stream_encrypt_tag();
-        for ((&i, upload), verdict) in arrivals.iter().zip(uploads.iter()).zip(&verdicts) {
-            if let Some(kind) = verdict {
-                window_rejected += 1;
-                self.detections.push(StreamDetection {
-                    window: w,
-                    detection: Detection {
-                        subject: Subject::Device(i),
-                        kind: kind.clone(),
-                    },
-                });
-                continue;
-            }
-            let vals = match upload {
-                Upload::OneHot { bits, .. } => bits,
-                Upload::Ranges { vals, .. } => vals,
+        for (&i, verdict) in arrivals.iter().zip(&verdicts) {
+            let kind = match verdict {
+                Some(kind) => kind.clone(),
+                None => match sealed
+                    .next()
+                    .expect("one sealed upload per accepted arrival")?
+                {
+                    Some(ct) => {
+                        window_accepted += 1;
+                        self.step_results.push(format!("input-{i}-ok").into_bytes());
+                        cts.push(ct);
+                        continue;
+                    }
+                    None => DetectionKind::CiphertextMismatch,
+                },
             };
-            let mut enc_rng = StdRng::seed_from_u64(encrypt_seed ^ mix(i as u64));
-            let msg =
-                encode_coeffs(&ctx, vals).map_err(|e| ExecError::Unsupported(e.to_string()))?;
-            let ct = bgv_encrypt(&ctx, pk, &msg, &mut enc_rng);
-            let behavior = adversary.map_or(DeviceBehavior::Honest, |a| a.device_behavior(w, i));
-            if behavior == DeviceBehavior::WrongBgvCiphertext {
-                let mut wrong = vals.clone();
-                wrong[0] = wrong[0].wrapping_add(1);
-                let wrong_msg = encode_coeffs(&ctx, &wrong)
-                    .map_err(|e| ExecError::Unsupported(e.to_string()))?;
-                let submitted = bgv_encrypt(&ctx, pk, &wrong_msg, &mut enc_rng);
-                if ciphertext_digest(&submitted) != ciphertext_digest(&ct) {
-                    window_rejected += 1;
-                    self.detections.push(StreamDetection {
-                        window: w,
-                        detection: Detection {
-                            subject: Subject::Device(i),
-                            kind: DetectionKind::CiphertextMismatch,
-                        },
-                    });
-                    continue;
-                }
-            }
-            window_accepted += 1;
-            self.step_results.push(format!("input-{i}-ok").into_bytes());
-            cts.push(ct);
+            window_rejected += 1;
+            self.detections.push(StreamDetection {
+                window: w,
+                detection: Detection {
+                    subject: Subject::Device(i),
+                    kind,
+                },
+            });
         }
         self.accepted_count += window_accepted;
         self.rejected_count += window_rejected;
@@ -1102,6 +970,7 @@ impl<'a> StreamExecutor<'a> {
                 aggregate_pool: self.aggregate_pool_total,
                 aggregate_ops: self.aggregate_ops,
                 ring_degree: ctx.params.n as u64,
+                aggregate_digest: ciphertext_digest(&total_ct),
                 // Streams always run on a standing setup: sortition and
                 // keygen were amortized at session-open time.
                 setup: SetupCounters::default(),

@@ -20,7 +20,8 @@ use arboretum_mpc::{MpcError, MpcOps};
 use arboretum_par::ParConfig;
 use arboretum_planner::logical::extract;
 use arboretum_planner::search::{plan, PlannerConfig};
-use arboretum_runtime::executor::{execute, Deployment, ExecutionConfig};
+use arboretum_runtime::adversary::{Adversary, DetectionKind, DeviceBehavior};
+use arboretum_runtime::executor::{execute, execute_with_adversary, Deployment, ExecutionConfig};
 use arboretum_runtime::net_exec::{
     run_concurrent, run_concurrent_sharded, NetExecConfig, NetParty,
 };
@@ -122,6 +123,10 @@ fn executor_report_is_identical_at_any_thread_count() {
         assert_eq!(report.audit_ok, reference.audit_ok, "{threads} threads");
         assert_eq!(
             report.budget_after.epsilon, reference.budget_after.epsilon,
+            "{threads} threads"
+        );
+        assert_eq!(
+            report.aggregate_digest, reference.aggregate_digest,
             "{threads} threads"
         );
     }
@@ -249,6 +254,7 @@ fn executor_report_is_identical_at_any_shard_and_thread_count() {
                 report.budget_after.epsilon, reference.budget_after.epsilon,
                 "{tag}"
             );
+            assert_eq!(report.aggregate_digest, reference.aggregate_digest, "{tag}");
             // Structural (non-timing) calibration fields do follow the
             // shard count.
             assert_eq!(report.verify_pool.len(), shards, "{tag}");
@@ -256,6 +262,83 @@ fn executor_report_is_identical_at_any_shard_and_thread_count() {
             assert_eq!(report.verify_ops, reference.verify_ops, "{tag}");
             assert_eq!(report.aggregate_ops, reference.aggregate_ops, "{tag}");
             assert_eq!(report.ring_degree, reference.ring_degree, "{tag}");
+        }
+    }
+}
+
+/// Devices 2, 11, 20, … submit a ciphertext of different data; devices
+/// 5, 14, 23, … send a truncated one-hot proof.
+struct CiphertextAndProofCheats;
+
+impl Adversary for CiphertextAndProofCheats {
+    fn device_behavior(&self, device: usize) -> DeviceBehavior {
+        match device % 9 {
+            2 => DeviceBehavior::WrongBgvCiphertext,
+            5 => DeviceBehavior::TruncatedProof,
+            _ => DeviceBehavior::Honest,
+        }
+    }
+}
+
+/// The ⊞-aggregate digest covers every accepted ciphertext, so it pins
+/// the encryption randomness each device receives — which outputs and
+/// counts cannot. The digests were recorded from a serial encryption
+/// loop; the sharded encryption phase must reproduce them bitwise.
+#[test]
+fn aggregate_digests_are_pinned_at_any_shard_and_thread_count() {
+    let categories = 4;
+    let assignments: Vec<usize> = (0..53).map(|i| [0, 0, 2, 2, 2, 1, 3][i % 7]).collect();
+    let deployment = Deployment::one_hot(&assignments, categories);
+    let schema = DbSchema::one_hot(deployment.db.len() as u64, categories);
+    let planned = |src: &str| {
+        let lp = extract(&parse(src).unwrap(), &schema, CertifyConfig::default()).unwrap();
+        let (physical, _) = plan(&lp, &PlannerConfig::paper_defaults(1 << 30)).unwrap();
+        (physical, lp)
+    };
+    let (em, em_lp) = planned("aggr = sum(db); r = em(aggr, 8.0); output(r);");
+    let (sampled, sampled_lp) =
+        planned("s = sampleUniform(0.5); aggr = sum(s); r = em(aggr, 8.0); output(r);");
+    let hex = |d: &[u8]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    for shards in [1usize, 2] {
+        for threads in [0usize, 2] {
+            let cfg = ExecutionConfig {
+                par: ParConfig::fixed(threads).with_shards(shards),
+                ..ExecutionConfig::default()
+            };
+            let tag = format!("shards={shards} threads={threads}");
+
+            let honest = execute(&em, &em_lp, &deployment, &cfg).unwrap();
+            assert_eq!(honest.accepted_inputs, 53, "{tag}");
+            assert_eq!(
+                hex(&honest.aggregate_digest),
+                "44ab2d4a0872a42c228d25e268c3fdfc9838169a1b6026241b471eee3ca8fc44",
+                "honest em, {tag}"
+            );
+
+            let sample = execute(&sampled, &sampled_lp, &deployment, &cfg).unwrap();
+            assert_eq!(sample.accepted_inputs, 36, "{tag}");
+            assert_eq!(
+                hex(&sample.aggregate_digest),
+                "8dcbed3a71f218229ebae37b09683013599608fab341f3c1fcbc07f7814b5568",
+                "sampleUniform(0.5), {tag}"
+            );
+
+            let attacked =
+                execute_with_adversary(&em, &em_lp, &deployment, &cfg, &CiphertextAndProofCheats)
+                    .unwrap();
+            assert_eq!(attacked.report.accepted_inputs, 41, "{tag}");
+            assert_eq!(attacked.report.rejected_inputs, 12, "{tag}");
+            let mismatches = attacked
+                .detections
+                .iter()
+                .filter(|d| d.kind == DetectionKind::CiphertextMismatch)
+                .count();
+            assert_eq!(mismatches, 6, "{tag}");
+            assert_eq!(
+                hex(&attacked.report.aggregate_digest),
+                "9e186dcd64c6e8d9149eeed871d360a260dbc8abe4ac2e39c6b87215c9fe4dd9",
+                "WrongBgvCiphertext + TruncatedProof, {tag}"
+            );
         }
     }
 }

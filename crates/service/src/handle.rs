@@ -235,7 +235,21 @@ impl ServiceHandle {
     }
 
     fn stop(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker checks it under
+        // that lock before it waits, so it either sees the flag or is
+        // already waiting when the notification below arrives. Without
+        // the lock a worker could check, miss the flag, and then sleep
+        // through the notification, and the join below never returns.
+        // The guard only orders the store, so a poisoned lock (this also
+        // runs on drop) is recovered rather than panicked on.
+        {
+            let _queue = self
+                .state
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.state.shutdown.store(true, Ordering::SeqCst);
+        }
         self.state.queue_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();

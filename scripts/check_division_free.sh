@@ -3,11 +3,13 @@
 #
 # The field and bgv crates' modular arithmetic went through a
 # Shoup/Barrett rewrite; a stray `(a as u128 * b as u128) % q as u128`
-# quietly reintroduces a hardware divide per coefficient. This script
-# fails if a division-based modular reduction appears in those crates'
-# sources, unless the line carries a `// div-ok` marker (reserved for
-# sanctioned reference implementations, e.g. `zq::mul_mod` and the
-# bench harness's old-kernel baseline).
+# — or a plain u64 `c % q` per coefficient — quietly reintroduces a
+# hardware divide. This script fails if a division-based modular
+# reduction (u128, or any `%`/`%=` applied to a name or parenthesised
+# expression) appears in those crates' sources, unless the line carries
+# a `// div-ok: <reason>` marker (reserved for sanctioned reference
+# implementations such as `zq::mul_mod`, test oracles, and one-time
+# reductions outside the per-coefficient hot path).
 #
 # Usage: scripts/check_division_free.sh   (run from anywhere)
 
@@ -28,7 +30,7 @@ while IFS= read -r hit; do
   echo "  $hit" >&2
   echo "  (use zq::Barrett / mul_mod_shoup, or mark a reference with // div-ok)" >&2
   fail=1
-done < <(grep -rn --include='*.rs' -E '%[[:space:]]*[A-Za-z_][A-Za-z0-9_]*[[:space:]]+as[[:space:]]+u128|as[[:space:]]+u128[^;]*%' "${hot_paths[@]}" || true)
+done < <(grep -rn --include='*.rs' -E '%[[:space:]]*[A-Za-z_][A-Za-z0-9_]*[[:space:]]+as[[:space:]]+u128|as[[:space:]]+u128[^;]*%|%=?[[:space:]]*[A-Za-z_(]' "${hot_paths[@]}" || true)
 
 if [[ $fail -ne 0 ]]; then
   exit 1
